@@ -1,8 +1,9 @@
 # Developer workflow for the iwscan reproduction. `make check` is the
 # pre-commit gate (see README.md): formatting, vet, full build, full
 # test suite, a race-detector pass over the packages with concurrency,
-# and the ground-truth validation smoke (oracle accuracy report plus
-# golden population comparisons).
+# a repeat run of the concurrency stress test, and the ground-truth
+# validation smoke (oracle accuracy report plus golden population
+# comparisons).
 
 GO ?= go
 
@@ -19,9 +20,9 @@ FUZZ_PKGS := ./internal/wire ./internal/output ./internal/httpsim ./internal/tls
 # build does not fail below it, the number is for trend-watching.
 COVER_TARGET ?= 70
 
-.PHONY: check fmt vet build test race cover bench bench-check bench-compare bench-refresh bench-smoke fuzz-smoke flight-smoke telemetry-smoke serve-smoke events-smoke smart-smoke validate-smoke validate-sweep
+.PHONY: check fmt vet build test race cover bench bench-check bench-compare bench-refresh bench-smoke flake-guard fuzz-smoke flight-smoke telemetry-smoke serve-smoke events-smoke smart-smoke validate-smoke validate-sweep
 
-check: fmt vet build test race flight-smoke telemetry-smoke serve-smoke events-smoke smart-smoke validate-smoke
+check: fmt vet build test race flake-guard flight-smoke telemetry-smoke serve-smoke events-smoke smart-smoke validate-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -51,6 +52,12 @@ race:
 		./internal/scanner/... ./internal/output/... ./internal/experiments/... \
 		./internal/netsim/... ./internal/tcpstack/... ./internal/flight/... \
 		./internal/timeseries/... ./internal/jobs/... ./internal/events/...
+
+# flake-guard reruns the scrape/checkpoint stress test 20 times
+# (about 10 s without -race), so an ordering flake fails the gate
+# instead of passing by luck on a single run.
+flake-guard:
+	$(GO) test ./internal/experiments -run TestParallelScrapeCheckpointRaceStress -count=20
 
 # cover writes one aggregate coverage profile across every package to
 # $(VALIDATE_OUT)/cover.out (CI uploads it) plus an HTML render, and

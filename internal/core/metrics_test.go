@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"iwscan/internal/httpsim"
 	"iwscan/internal/netsim"
+	"iwscan/internal/wire"
 )
 
 // TestProbeLifecycleMetrics: a successful HTTP probe must populate the
@@ -44,7 +46,7 @@ func TestProbeLifecycleMetrics(t *testing.T) {
 	if got := reg.Counter("core.probe.outcome.success").Value(); got == 0 {
 		t.Fatal("success outcome counter empty")
 	}
-	// Registry counters mirror the struct counters exactly.
+	// The Stats view reads exactly these registry counters.
 	st := e.scan.Stats()
 	if v := reg.Counter("core.probes_started").Value(); v != st.ProbesStarted {
 		t.Fatalf("probes_started counter %d != struct %d", v, st.ProbesStarted)
@@ -83,38 +85,74 @@ func TestProbeLifecycleOutcomeTaxa(t *testing.T) {
 	}
 }
 
-// TestProbeTraceRetention: with SetKeep enabled the tracer retains full
-// per-probe event sequences in order.
-func TestProbeTraceRetention(t *testing.T) {
+// phaseRecorder is a FlightSink fake that keeps every phase transition.
+type phaseRecorder struct {
+	phases  []string
+	at      []netsim.Time
+	targets []wire.Addr
+}
+
+func (r *phaseRecorder) ProbePhase(at netsim.Time, target wire.Addr, phase string) {
+	r.phases = append(r.phases, phase)
+	r.at = append(r.at, at)
+	r.targets = append(r.targets, target)
+}
+func (r *phaseRecorder) ProbeSegment(netsim.Time, wire.Addr, int, int, string)  {}
+func (r *phaseRecorder) ProbeStep(netsim.Time, wire.Addr, string, int64, int64) {}
+
+// probeRecorded runs one successful single-connection HTTP probe with
+// a phaseRecorder armed as the flight sink.
+func probeRecorded(t *testing.T) (*env, *phaseRecorder) {
+	t.Helper()
 	e := newEnv(t, linuxIW(4))
-	e.scan.Tracer().SetKeep(16)
+	rec := &phaseRecorder{}
+	e.scan.SetFlight(rec)
 	e.host.Listen(80, httpsim.NewServer(httpsim.ServerConfig{Root: httpsim.BehaviorPage, PageLen: 8000}))
 	tr := e.probe(t, TargetConfig{Strategy: StrategyHTTP, MSSList: []int{64}, Repeats: 1})
 	if tr.Outcome != OutcomeSuccess {
 		t.Fatalf("outcome = %s", tr.Outcome)
 	}
-	traces := e.scan.Tracer().Completed()
-	if len(traces) == 0 {
-		t.Fatal("no traces retained")
+	return e, rec
+}
+
+var wantPhases = []string{"syn_sent", "syn_ack", "retransmit_seen", "burst_collected", "verify_release", "done:success"}
+
+// TestProbeTraceRetention: the flight sink retains the probe's whole
+// Figure-1 lifecycle — every phase, in order, for the probed target,
+// with monotonic timestamps, closed by its outcome taxon.
+func TestProbeTraceRetention(t *testing.T) {
+	_, rec := probeRecorded(t)
+	if !reflect.DeepEqual(rec.phases, wantPhases) {
+		t.Fatalf("phases = %v, want %v", rec.phases, wantPhases)
 	}
-	first := traces[0]
-	if first.Label != hostAddr.String() || first.Outcome != "success" {
-		t.Fatalf("trace = %+v", first)
-	}
-	wantOrder := []string{"syn_sent", "syn_ack", "retransmit_seen", "burst_collected", "verify_release"}
-	if len(first.Events) != len(wantOrder) {
-		t.Fatalf("events = %+v", first.Events)
-	}
-	for i, ev := range first.Events {
-		if ev.Phase != wantOrder[i] {
-			t.Fatalf("event %d = %s, want %s (all: %+v)", i, ev.Phase, wantOrder[i], first.Events)
+	for i := range rec.at {
+		if rec.targets[i] != hostAddr {
+			t.Fatalf("phase %s recorded for %v, want %v", rec.phases[i], rec.targets[i], hostAddr)
 		}
-		if i > 0 && ev.At < first.Events[i-1].At {
-			t.Fatal("event timestamps not monotonic")
+		if i > 0 && rec.at[i] < rec.at[i-1] {
+			t.Fatalf("phase %s at %v precedes %s at %v", rec.phases[i], rec.at[i], rec.phases[i-1], rec.at[i-1])
 		}
 	}
-	if e.scan.Tracer().Active() != 0 {
-		t.Fatalf("%d traces leaked active", e.scan.Tracer().Active())
+}
+
+// TestProbeFlightPhases: each transition's histogram holds exactly the
+// gap between the two phases the flight sink saw, and the lifetime
+// histogram the span from the SYN to the outcome.
+func TestProbeFlightPhases(t *testing.T) {
+	e, rec := probeRecorded(t)
+	if !reflect.DeepEqual(rec.phases, wantPhases) {
+		t.Fatalf("phases = %v, want %v", rec.phases, wantPhases)
+	}
+	reg := e.net.Metrics()
+	for i := 1; i < len(wantPhases)-1; i++ { // done:<taxon> closes the lifetime, not a phase edge
+		name := "core.probe.phase." + wantPhases[i-1] + "_to_" + wantPhases[i] + "_ns"
+		if h := reg.Histogram(name).Value(); h.Count != 1 || h.Sum != int64(rec.at[i]-rec.at[i-1]) {
+			t.Fatalf("%s = %+v, want one observation of %d", name, h, rec.at[i]-rec.at[i-1])
+		}
+	}
+	life := reg.Histogram("core.probe.lifetime_ns").Value()
+	if span := int64(rec.at[len(rec.at)-1] - rec.at[0]); life.Count != 1 || life.Sum != span {
+		t.Fatalf("lifetime = %+v, want one observation of %d", life, span)
 	}
 }
 

@@ -46,7 +46,8 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Counters aggregate scanner-side statistics.
+// Counters aggregate scanner-side statistics. They are stored only in
+// the network's metrics registry; CountersOf reads them back.
 type Counters struct {
 	ProbesStarted  int64
 	SynAcks        int64 // handshakes that completed (the hit count)
@@ -56,9 +57,52 @@ type Counters struct {
 	VerifyReleases int64 // verification ACKs that released more data
 }
 
+// CountersOf reads the scanner counters from r: the live registry
+// (Scanner.Stats) or a snapshot, including one merged across shards.
+// It is the one mapping between Counters fields and counter names.
+func CountersOf(r metrics.CounterReader) Counters {
+	return Counters{
+		ProbesStarted:  r.CounterValue("core.probes_started"),
+		SynAcks:        r.CounterValue("core.synacks"),
+		PacketsSent:    r.CounterValue("core.packets_sent"),
+		PacketsRcvd:    r.CounterValue("core.packets_rcvd"),
+		Retransmits:    r.CounterValue("core.retransmits"),
+		VerifyReleases: r.CounterValue("core.verify_releases"),
+	}
+}
+
+// probePhase is a step of the Figure-1 probe lifecycle.
+type probePhase uint8
+
+const (
+	phaseSynSent probePhase = iota
+	phaseSynAck
+	phaseRetransmitSeen
+	phaseBurstCollected
+	phaseVerifyRelease
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"syn_sent", "syn_ack", "retransmit_seen", "burst_collected", "verify_release"}
+
+// outcomeKey identifies a terminal outcome taxon without building its
+// string (Err is always a static detail).
+type outcomeKey struct {
+	outcome Outcome
+	err     string
+}
+
 // coreMetrics caches the registry handles used on the per-segment hot
-// path.
+// path. The lifecycle aggregates
+//
+//	core.probe.phase.<from>_to_<to>_ns  histogram of each transition
+//	core.probe.lifetime_ns              histogram of SYN → finish
+//	core.probe.outcome.<taxon>          counter per terminal outcome
+//
+// are resolved on first use, so a snapshot carries only the
+// transitions and outcomes that occurred.
 type coreMetrics struct {
+	reg            *metrics.Registry
 	probesStarted  *metrics.Counter
 	synAcks        *metrics.Counter
 	packetsSent    *metrics.Counter
@@ -66,10 +110,14 @@ type coreMetrics struct {
 	retransmits    *metrics.Counter
 	verifyReleases *metrics.Counter
 	rtt            *metrics.Histogram // SYN → SYN-ACK, virtual ns
+	lifetime       *metrics.Histogram
+	phases         [numPhases][numPhases]*metrics.Histogram
+	outcomes       map[outcomeKey]*metrics.Counter
 }
 
 func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 	return coreMetrics{
+		reg:            reg,
 		probesStarted:  reg.Counter("core.probes_started"),
 		synAcks:        reg.Counter("core.synacks"),
 		packetsSent:    reg.Counter("core.packets_sent"),
@@ -77,7 +125,33 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		retransmits:    reg.Counter("core.retransmits"),
 		verifyReleases: reg.Counter("core.verify_releases"),
 		rtt:            reg.Histogram("core.rtt_ns"),
+		outcomes:       make(map[outcomeKey]*metrics.Counter),
 	}
+}
+
+// phase returns the histogram of from → to transition durations.
+func (m *coreMetrics) phase(from, to probePhase) *metrics.Histogram {
+	h := m.phases[from][to]
+	if h == nil {
+		h = m.reg.Histogram("core.probe.phase." + phaseNames[from] + "_to_" + phaseNames[to] + "_ns")
+		m.phases[from][to] = h
+	}
+	return h
+}
+
+// finished records one probe's terminal outcome and lifetime.
+func (m *coreMetrics) finished(r *ProbeResult, lifetime netsim.Time) {
+	k := outcomeKey{r.Outcome, r.Err}
+	c := m.outcomes[k]
+	if c == nil {
+		c = m.reg.Counter("core.probe.outcome." + r.Taxon())
+		m.outcomes[k] = c
+	}
+	c.Inc()
+	if m.lifetime == nil {
+		m.lifetime = m.reg.Histogram("core.probe.lifetime_ns")
+	}
+	m.lifetime.Observe(int64(lifetime))
 }
 
 // FlightSink receives estimator-level events for the per-probe flight
@@ -101,39 +175,32 @@ type FlightSink interface {
 // concurrent connection probes over local ports, the way the ZMap probe
 // module keeps per-connection state (§3.4).
 type Scanner struct {
-	net    *netsim.Network
-	addr   wire.Addr
-	cfg    Config
-	rng    *stats.RNG
-	conns  map[uint16]*connProbe
-	next   uint16
-	stats  Counters
-	ipid   uint16
-	cm     coreMetrics
-	tracer *metrics.Tracer
-	fl     FlightSink // nil unless a flight recorder is attached
+	net   *netsim.Network
+	addr  wire.Addr
+	cfg   Config
+	rng   *stats.RNG
+	conns map[uint16]*connProbe
+	next  uint16
+	ipid  uint16
+	cm    coreMetrics
+	fl    FlightSink // nil unless a flight recorder is attached
 }
 
 // NewScanner creates a scanner at addr and registers it with the
 // network.
 func NewScanner(n *netsim.Network, addr wire.Addr, cfg Config) *Scanner {
 	s := &Scanner{
-		net:    n,
-		addr:   addr,
-		cfg:    cfg.withDefaults(),
-		rng:    stats.NewRNG(cfg.Seed ^ 0x5ca99e5),
-		conns:  make(map[uint16]*connProbe),
-		next:   10000,
-		cm:     newCoreMetrics(n.Metrics()),
-		tracer: metrics.NewTracer(n.Metrics(), "core.probe"),
+		net:   n,
+		addr:  addr,
+		cfg:   cfg.withDefaults(),
+		rng:   stats.NewRNG(cfg.Seed ^ 0x5ca99e5),
+		conns: make(map[uint16]*connProbe),
+		next:  10000,
+		cm:    newCoreMetrics(n.Metrics()),
 	}
 	n.Register(addr, s)
 	return s
 }
-
-// Tracer exposes the probe-lifecycle tracer (enable trace retention
-// with SetKeep for per-probe debugging; aggregation is always on).
-func (s *Scanner) Tracer() *metrics.Tracer { return s.tracer }
 
 // SetFlight attaches a flight recorder sink (nil detaches). Callers
 // must pass nil rather than a nil-valued concrete interface.
@@ -142,8 +209,9 @@ func (s *Scanner) SetFlight(fl FlightSink) { s.fl = fl }
 // Addr returns the scanner's source address.
 func (s *Scanner) Addr() wire.Addr { return s.addr }
 
-// Stats returns a snapshot of the counters.
-func (s *Scanner) Stats() Counters { return s.stats }
+// Stats returns the scanner counters, read from the network's metrics
+// registry.
+func (s *Scanner) Stats() Counters { return CountersOf(s.net.Metrics()) }
 
 // ActiveConns returns the number of in-flight connection probes.
 func (s *Scanner) ActiveConns() int { return len(s.conns) }
@@ -162,7 +230,6 @@ func (s *Scanner) HandlePacket(pkt []byte) {
 	if err != nil {
 		return
 	}
-	s.stats.PacketsRcvd++
 	s.cm.packetsRcvd.Inc()
 	c := s.conns[tcp.DstPort]
 	if c == nil || c.target != ip.Src || c.dstPort != tcp.SrcPort {
@@ -189,7 +256,6 @@ func (s *Scanner) allocPort() uint16 {
 // buffer and hands ownership to the network — the scanner's send fast
 // path.
 func (s *Scanner) send(dst wire.Addr, h *wire.TCPHeader, payload []byte) {
-	s.stats.PacketsSent++
 	s.cm.packetsSent.Inc()
 	s.ipid++
 	hdr := wire.IPv4Header{
@@ -217,7 +283,6 @@ type probeSpec struct {
 
 // startProbe launches one connection probe; done is invoked exactly once.
 func (s *Scanner) startProbe(spec probeSpec, done func(ProbeResult)) {
-	s.stats.ProbesStarted++
 	s.cm.probesStarted.Inc()
 	c := &connProbe{
 		sc:        s,
@@ -256,8 +321,9 @@ type connProbe struct {
 	finOff  int // stream offset just past the FIN (response length)
 	reorder bool
 
-	traceID uint64      // lifecycle trace handle
-	synAt   netsim.Time // when the SYN left, for the RTT histogram
+	synAt netsim.Time // when the SYN left, for the RTT and lifetime histograms
+	ph    probePhase  // current lifecycle phase
+	phAt  netsim.Time // when the probe entered ph
 
 	timer *netsim.Timer
 	done  func(ProbeResult)
@@ -274,9 +340,9 @@ const (
 
 func (c *connProbe) start() {
 	c.synAt = c.sc.net.Now()
-	c.traceID = c.sc.tracer.Begin(c.target.String(), "syn_sent", int64(c.synAt))
+	c.ph, c.phAt = phaseSynSent, c.synAt
 	if fl := c.sc.fl; fl != nil {
-		fl.ProbePhase(c.synAt, c.target, "syn_sent")
+		fl.ProbePhase(c.synAt, c.target, phaseNames[phaseSynSent])
 		fl.ProbeStep(c.synAt, c.target, "syn_options", int64(c.mss), int64(c.sc.cfg.Window))
 	}
 	var h wire.TCPHeader
@@ -300,13 +366,15 @@ func (c *connProbe) arm(d netsim.Time, fn func()) {
 	c.timer = c.sc.net.After(d, fn)
 }
 
-// trace records a lifecycle phase transition at the current virtual
-// time, mirrored into the flight recorder when one is attached.
-func (c *connProbe) trace(phase string) {
+// phase records a lifecycle transition into p at the current virtual
+// time: the transition's duration histogram, mirrored into the flight
+// recorder when one is attached.
+func (c *connProbe) phase(p probePhase) {
 	now := c.sc.net.Now()
-	c.sc.tracer.Phase(c.traceID, phase, int64(now))
+	c.sc.cm.phase(c.ph, p).Observe(int64(now - c.phAt))
+	c.ph, c.phAt = p, now
 	if fl := c.sc.fl; fl != nil {
-		fl.ProbePhase(now, c.target, phase)
+		fl.ProbePhase(now, c.target, phaseNames[p])
 	}
 }
 
@@ -333,10 +401,9 @@ func (c *connProbe) finish(r ProbeResult, rst bool) {
 	}
 	c.state = stateDone
 	c.timer.Cancel()
-	taxon := r.Taxon()
-	c.sc.tracer.End(c.traceID, taxon, int64(c.sc.net.Now()))
+	c.sc.cm.finished(&r, c.sc.net.Now()-c.synAt)
 	if fl := c.sc.fl; fl != nil {
-		fl.ProbePhase(c.sc.net.Now(), c.target, "done:"+taxon)
+		fl.ProbePhase(c.sc.net.Now(), c.target, "done:"+r.Taxon())
 		fl.ProbeStep(c.sc.net.Now(), c.target, "probe_result", int64(r.Bytes), int64(r.Segments))
 	}
 	if rst {
@@ -377,10 +444,9 @@ func (c *connProbe) handleSegment(tcp *wire.TCPHeader, data []byte) {
 			return
 		}
 		c.irs = tcp.Seq
-		c.sc.stats.SynAcks++
 		c.sc.cm.synAcks.Inc()
 		c.sc.cm.rtt.Observe(int64(c.sc.net.Now() - c.synAt))
-		c.trace("syn_ack")
+		c.phase(phaseSynAck)
 		c.flStep("synack_options", int64(tcp.MSS), int64(tcp.Window))
 		if c.synOnly {
 			// Port scan: the port is open; RST and report.
@@ -431,10 +497,9 @@ func (c *connProbe) collect(tcp *wire.TCPHeader, data []byte) {
 		}
 		switch c.cov.add(off, off+len(data)) {
 		case addRetransmit:
-			c.sc.stats.Retransmits++
 			c.sc.cm.retransmits.Inc()
 			c.flSeg(off, len(data), "retransmit")
-			c.trace("retransmit_seen")
+			c.phase(phaseRetransmitSeen)
 			c.onRetransmission()
 			return
 		case addReorder:
@@ -464,7 +529,7 @@ func (c *connProbe) collect(tcp *wire.TCPHeader, data []byte) {
 	if c.sawFIN && !c.cov.hasGap() && c.cov.contiguous() >= c.finOff {
 		// The server finished its response inside the IW and every byte
 		// of it has arrived: a few-data verdict is complete now.
-		c.trace("burst_collected")
+		c.phase(phaseBurstCollected)
 		c.finishFewData()
 	}
 }
@@ -494,7 +559,7 @@ func (c *connProbe) onRetransmission() {
 		c.finish(c.result(OutcomeError, "loss-gap"), true)
 		return
 	}
-	c.trace("burst_collected")
+	c.phase(phaseBurstCollected)
 	if c.sawFIN {
 		c.finishFewData()
 		return
@@ -532,9 +597,8 @@ func (c *connProbe) verify(tcp *wire.TCPHeader, data []byte) {
 		off := int(tcp.Seq - (c.irs + 1))
 		if off+len(data) > c.cov.max() {
 			// New data released by our ACK: the host was IW-limited.
-			c.sc.stats.VerifyReleases++
 			c.sc.cm.verifyReleases.Inc()
-			c.trace("verify_release")
+			c.phase(phaseVerifyRelease)
 			c.finish(c.result(OutcomeSuccess, ""), true)
 			return
 		}

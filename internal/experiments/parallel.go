@@ -6,8 +6,11 @@ import (
 	"sort"
 	"sync"
 
+	"iwscan/internal/core"
 	"iwscan/internal/inet"
+	"iwscan/internal/netsim"
 	"iwscan/internal/output"
+	"iwscan/internal/scanner"
 	"iwscan/internal/timeseries"
 )
 
@@ -40,7 +43,7 @@ func RunScanParallel(u *inet.Universe, cfg ScanConfig, shards int) *ScanResult {
 // hosts materialize into the per-shard network's node table. The only
 // cross-shard interactions are the bounded k-way output.Merge, the
 // (mutex-guarded) timeseries store and debug-server attach points, and
-// the final stats fold after Wait. Each loop is pinned to an OS thread
+// the final snapshot merge after Wait. Each loop is pinned to an OS thread
 // for its lifetime so the kernel can schedule the shards onto distinct
 // cores; per-shard output is byte-identical for any GOMAXPROCS and any
 // interleaving (the determinism matrix test in this package holds the
@@ -139,27 +142,6 @@ func RunScanParallelChecked(u *inet.Universe, cfg ScanConfig, shards int) (*Scan
 	for _, r := range results {
 		merged.ShardEngines = append(merged.ShardEngines, r.Engine)
 		merged.Records = append(merged.Records, r.Records...)
-		merged.Engine.Launched += r.Engine.Launched
-		merged.Engine.Completed += r.Engine.Completed
-		merged.Engine.Skipped += r.Engine.Skipped
-		merged.Engine.Retries += r.Engine.Retries
-		merged.Net.PacketsSent += r.Net.PacketsSent
-		merged.Net.PacketsDelivered += r.Net.PacketsDelivered
-		merged.Net.PacketsDuplicated += r.Net.PacketsDuplicated
-		merged.Net.PacketsReordered += r.Net.PacketsReordered
-		merged.Net.PacketsLost += r.Net.PacketsLost
-		merged.Net.PacketsFiltered += r.Net.PacketsFiltered
-		merged.Net.PacketsNoRoute += r.Net.PacketsNoRoute
-		merged.Net.PacketsMTUDrop += r.Net.PacketsMTUDrop
-		merged.Net.PacketsQueueDrop += r.Net.PacketsQueueDrop
-		merged.Net.BytesSent += r.Net.BytesSent
-		merged.Net.BytesDelivered += r.Net.BytesDelivered
-		merged.Scan.ProbesStarted += r.Scan.ProbesStarted
-		merged.Scan.SynAcks += r.Scan.SynAcks
-		merged.Scan.PacketsSent += r.Scan.PacketsSent
-		merged.Scan.PacketsRcvd += r.Scan.PacketsRcvd
-		merged.Scan.Retransmits += r.Scan.Retransmits
-		merged.Scan.VerifyReleases += r.Scan.VerifyReleases
 		merged.Metrics.Merge(r.Metrics)
 		if r.VirtualTime > merged.VirtualTime {
 			merged.VirtualTime = r.VirtualTime // shards run concurrently
@@ -168,6 +150,11 @@ func RunScanParallelChecked(u *inet.Universe, cfg ScanConfig, shards int) (*Scan
 			merged.MaxBuffered = r.MaxBuffered
 		}
 	}
+	// The merged counters are views of the merged snapshot, read through
+	// the same field/name mappings as each shard's live Stats.
+	merged.Net = netsim.CountersOf(merged.Metrics)
+	merged.Scan = core.CountersOf(merged.Metrics)
+	merged.Engine = scanner.StatsOf(merged.Metrics)
 	if merge != nil {
 		// Shard reorder buffers and the merge queues never hold the
 		// record set; report their combined high-water mark.

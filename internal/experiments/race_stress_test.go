@@ -45,6 +45,26 @@ func raceShardCfg(shard int) ScanConfig {
 	}
 }
 
+// awaitOK polls url until it answers 200.
+func awaitOK(url string) error {
+	deadline := time.Now().Add(time.Minute)
+	for {
+		resp, err := http.Get(url)
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("still status %d after a minute", resp.StatusCode)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestParallelScrapeCheckpointRaceStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute under -race; skipping in -short")
@@ -82,6 +102,15 @@ func TestParallelScrapeCheckpointRaceStress(t *testing.T) {
 		scrapers.Add(1)
 		go func(base string) {
 			defer scrapers.Done()
+			// The debug servers answer 503 until a scan attaches to
+			// them, so scraping starts only once every path has
+			// answered 200; from then on every scrape must.
+			for _, path := range paths {
+				if err := awaitOK(base + path); err != nil {
+					t.Errorf("scrape %s%s: %v", base, path, err)
+					return
+				}
+			}
 			for i := 0; ; i++ {
 				select {
 				case <-done:

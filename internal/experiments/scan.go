@@ -48,13 +48,9 @@ type ScanConfig struct {
 	// Ablation knobs (§3.2 fallbacks).
 	NoRedirectFollow bool
 	NoBloat          bool
-	// Trace, when set, is installed as a network filter (e.g. a
-	// trace.Recorder's Filter for packet capture).
-	Trace netsim.Filter
-	// PcapRecorder, when set, captures packets like Trace but lets the
-	// run bind the recorder's drop counter into its metrics registry
-	// (the registry is created inside the run, so a bare Trace filter
-	// cannot reach it).
+	// PcapRecorder, when set, captures the scan's packets through a
+	// network filter and binds the recorder's drop counter into the
+	// run's metrics registry.
 	PcapRecorder *trace.Recorder
 	// Flight, when set, attaches a per-probe flight recorder: it
 	// becomes the network's observer and the scanner's estimator sink,
@@ -299,9 +295,6 @@ func RunScanChecked(u *inet.Universe, cfg ScanConfig) (*ScanResult, error) {
 		n.SetPath(netsim.PathParams{Delay: 10 * netsim.Millisecond, Jitter: 2 * netsim.Millisecond, Loss: cfg.Loss})
 	}
 	n.SetFactory(u)
-	if cfg.Trace != nil {
-		n.AddFilter(cfg.Trace)
-	}
 	if cfg.PcapRecorder != nil {
 		cfg.PcapRecorder.BindMetrics(n.Metrics())
 		n.AddFilter(cfg.PcapRecorder.Filter())

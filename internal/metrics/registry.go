@@ -1,6 +1,6 @@
 // Package metrics is a dependency-free telemetry layer for the scan
 // stack: a registry of named counters, gauges and log-bucketed
-// histograms, plus a probe-lifecycle tracer (see tracer.go).
+// histograms.
 //
 // Design goals, in order:
 //
@@ -136,6 +136,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// CounterValue returns the count of the named counter, or 0 when no
+// such counter exists (reading never creates one, so a view over the
+// registry cannot change a snapshot's key set).
+func (r *Registry) CounterValue(name string) int64 {
+	r.mu.Lock()
+	c := r.counters[name]
+	r.mu.Unlock()
+	if c == nil {
+		return 0
+	}
+	return c.Value()
+}
+
+// CounterReader reads counts by name. A live *Registry and a (merged)
+// Snapshot both implement it, so a layer's typed counter view is one
+// function over either.
+type CounterReader interface {
+	CounterValue(name string) int64
+}
+
 // GaugeValue is the snapshot of one gauge.
 type GaugeValue struct {
 	Value int64 `json:"value"`
@@ -170,6 +190,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	return s
 }
+
+// CounterValue returns the named counter's count (0 when absent).
+func (s Snapshot) CounterValue(name string) int64 { return s.Counters[name] }
 
 // Merge folds o into s: counters and histogram contents sum exactly, so
 // per-shard snapshots combine to the totals of an unsharded run. Gauge

@@ -84,7 +84,8 @@ const (
 // segment).
 type Filter func(now Time, pkt []byte) Verdict
 
-// Counters aggregate network-level statistics.
+// Counters aggregate network-level statistics. They are stored only in
+// the network's metrics registry; CountersOf reads them back.
 type Counters struct {
 	PacketsSent       int64
 	PacketsDelivered  int64
@@ -97,6 +98,25 @@ type Counters struct {
 	PacketsQueueDrop  int64 // tail drops at bottleneck links
 	BytesSent         int64
 	BytesDelivered    int64
+}
+
+// CountersOf reads the network counters from r: the live registry
+// (Network.Stats) or a snapshot, including one merged across shards.
+// It is the one mapping between Counters fields and counter names.
+func CountersOf(r metrics.CounterReader) Counters {
+	return Counters{
+		PacketsSent:       r.CounterValue("netsim.packets_sent"),
+		PacketsDelivered:  r.CounterValue("netsim.packets_delivered"),
+		PacketsDuplicated: r.CounterValue("netsim.packets_duplicated"),
+		PacketsReordered:  r.CounterValue("netsim.packets_reordered"),
+		PacketsLost:       r.CounterValue("netsim.packets_lost"),
+		PacketsFiltered:   r.CounterValue("netsim.packets_filtered"),
+		PacketsNoRoute:    r.CounterValue("netsim.packets_noroute"),
+		PacketsMTUDrop:    r.CounterValue("netsim.packets_mtu_drop"),
+		PacketsQueueDrop:  r.CounterValue("netsim.packets_queue_drop"),
+		BytesSent:         r.CounterValue("netsim.bytes_sent"),
+		BytesDelivered:    r.CounterValue("netsim.bytes_delivered"),
+	}
 }
 
 // netMetrics caches the registry handles for the packet hot path so
@@ -152,7 +172,6 @@ type Network struct {
 	filters []Filter
 	links   map[linkKey]*linkState
 	rng     *stats.RNG
-	stats   Counters
 	reg     *metrics.Registry
 	nm      netMetrics
 	obs     Observer
@@ -202,8 +221,8 @@ func (n *Network) Now() Time { return n.now }
 // simulation goroutine (e.g. from a timer callback).
 func (n *Network) QueueLen() int { return len(n.queue) }
 
-// Stats returns a snapshot of the network counters.
-func (n *Network) Stats() Counters { return n.stats }
+// Stats returns the network counters, read from its metrics registry.
+func (n *Network) Stats() Counters { return CountersOf(n.reg) }
 
 // Metrics returns the network's metrics registry. Every component
 // attached to this network (scanner core, engine, hosts) aggregates
@@ -308,21 +327,17 @@ func (n *Network) send(pkt []byte, pb *Packet) {
 	var hdr wire.IPv4Header
 	if _, err := wire.DecodeIPv4Into(&hdr, pkt); err != nil {
 		// Malformed packets vanish, as a router would drop them.
-		n.stats.PacketsLost++
 		n.nm.packetsLost.Inc()
 		n.observe(OpDropMalformed, pkt)
 		n.PutPacket(pb)
 		return
 	}
-	n.stats.PacketsSent++
-	n.stats.BytesSent += int64(len(pkt))
 	n.nm.packetsSent.Inc()
 	n.nm.bytesSent.Add(int64(len(pkt)))
 	n.observe(OpSend, pkt)
 
 	for _, f := range n.filters {
 		if f(n.now, pkt) == VerdictDrop {
-			n.stats.PacketsFiltered++
 			n.nm.packetsFiltered.Inc()
 			n.observe(OpDropFilter, pkt)
 			n.PutPacket(pb)
@@ -332,7 +347,6 @@ func (n *Network) send(pkt []byte, pb *Packet) {
 
 	p := n.path(hdr.Src, hdr.Dst)
 	if p.MTU > 0 && len(pkt) > p.MTU {
-		n.stats.PacketsMTUDrop++
 		n.nm.packetsMTUDrop.Inc()
 		n.observe(OpDropMTU, pkt)
 		if hdr.Flags&wire.IPFlagDF != 0 {
@@ -345,7 +359,6 @@ func (n *Network) send(pkt []byte, pb *Packet) {
 	}
 
 	if n.rng.Bool(p.Loss) {
-		n.stats.PacketsLost++
 		n.nm.packetsLost.Inc()
 		n.observe(OpDropLoss, pkt)
 		n.PutPacket(pb)
@@ -371,7 +384,6 @@ func (n *Network) send(pkt []byte, pb *Packet) {
 		}
 		backlogBytes := int64(l.busyUntil-n.now) * p.Rate / (8 * int64(Second))
 		if backlogBytes > int64(qcap) {
-			n.stats.PacketsQueueDrop++
 			n.nm.packetsQueueDrop.Inc()
 			n.observe(OpDropQueue, pkt)
 			n.PutPacket(pb)
@@ -386,7 +398,6 @@ func (n *Network) send(pkt []byte, pb *Packet) {
 	// valid for the duplicate copy below even on the pooled path.
 	n.scheduleDelivery(pkt, pb, p, extra)
 	if n.rng.Bool(p.Duplicate) {
-		n.stats.PacketsDuplicated++
 		n.nm.packetsDuplicated.Inc()
 		n.observe(OpDuplicate, pkt)
 		dup := n.GetPacket()
@@ -432,7 +443,6 @@ func (n *Network) scheduleDelivery(pkt []byte, pb *Packet, p PathParams, seriali
 	}
 	if p.Reorder > 0 && n.rng.Bool(p.Reorder) {
 		delay = p.Delay / 4
-		n.stats.PacketsReordered++
 		n.nm.packetsReordered.Inc()
 		n.observe(OpReorder, pkt)
 	}
@@ -509,7 +519,6 @@ func (n *Network) dispatch(ev *event) {
 	}
 	var hdr wire.IPv4Header
 	if _, err := wire.DecodeIPv4Into(&hdr, ev.pkt); err != nil {
-		n.stats.PacketsLost++
 		n.nm.packetsLost.Inc()
 		n.observe(OpDropMalformed, ev.pkt)
 		return
@@ -522,13 +531,10 @@ func (n *Network) dispatch(ev *event) {
 		}
 	}
 	if node == nil {
-		n.stats.PacketsNoRoute++
 		n.nm.packetsNoRoute.Inc()
 		n.observe(OpDropNoRoute, ev.pkt)
 		return
 	}
-	n.stats.PacketsDelivered++
-	n.stats.BytesDelivered += int64(len(ev.pkt))
 	n.nm.packetsDelivered.Inc()
 	n.nm.bytesDelivered.Add(int64(len(ev.pkt)))
 	n.observe(OpDeliver, ev.pkt)

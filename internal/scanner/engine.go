@@ -81,6 +81,20 @@ type Stats struct {
 	MaxInFlight int
 }
 
+// StatsOf reads the engine counters from r: the live registry
+// (Engine.Stats) or a snapshot, including one merged across shards. It
+// is the one mapping between Stats fields and counter names; the
+// non-counter fields are left zero.
+func StatsOf(r metrics.CounterReader) Stats {
+	return Stats{
+		Launched:  r.CounterValue("engine.launched"),
+		Completed: r.CounterValue("engine.completed"),
+		Skipped:   r.CounterValue("engine.skipped"),
+		Pruned:    r.CounterValue("engine.pruned"),
+		Retries:   r.CounterValue("engine.retries"),
+	}
+}
+
 // Duration returns the virtual-time span of the scan.
 func (s Stats) Duration() netsim.Time { return s.FinishedAt - s.StartedAt }
 
@@ -128,8 +142,11 @@ type Engine struct {
 	exhausted   bool
 	tickArmed   bool
 	nextSend    netsim.Time
-	stats       Stats
 	onDone      func(Stats)
+
+	// The non-counter Stats fields; the counts live in the registry.
+	startedAt, finishedAt netsim.Time
+	maxInFlight           int
 
 	// Frontier bookkeeping for checkpointing and ordered emission.
 	nextSeq  uint64                 // seq assigned to the next fresh launch
@@ -207,8 +224,13 @@ func (e *Engine) TargetEstimate() int64 {
 // (iterator exhausted, retry queue drained, and all probes done).
 func (e *Engine) OnFinish(fn func(Stats)) { e.onDone = fn }
 
-// Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats { return e.stats }
+// Stats returns the engine's counters, read from the network's metrics
+// registry, with its start/finish times and in-flight high-water mark.
+func (e *Engine) Stats() Stats {
+	st := StatsOf(e.net.Metrics())
+	st.StartedAt, st.FinishedAt, st.MaxInFlight = e.startedAt, e.finishedAt, e.maxInFlight
+	return st
+}
 
 // LaunchCursor identifies the probe currently being launched: its dense
 // per-shard sequence number (0, 1, 2, ... in launch order, the key for
@@ -254,7 +276,6 @@ func (e *Engine) Fail(seq uint64) bool {
 		return false
 	}
 	e.retryq = append(e.retryq, seq)
-	e.stats.Retries++
 	e.mRetries.Inc()
 	e.pump()
 	return true
@@ -262,7 +283,7 @@ func (e *Engine) Fail(seq uint64) bool {
 
 // Start begins launching probes.
 func (e *Engine) Start() {
-	e.stats.StartedAt = e.net.Now()
+	e.startedAt = e.net.Now()
 	e.nextSend = e.net.Now()
 	e.pump()
 }
@@ -320,11 +341,10 @@ func (e *Engine) launchOne() bool {
 	e.pending[seq] = ps
 	e.nextSend += e.interval
 	e.outstanding++
-	e.stats.Launched++
 	e.mLaunched.Inc()
 	e.mInFlight.Add(1)
-	if e.outstanding > e.stats.MaxInFlight {
-		e.stats.MaxInFlight = e.outstanding
+	if e.outstanding > e.maxInFlight {
+		e.maxInFlight = e.outstanding
 	}
 	e.fire(seq, ps)
 	return true
@@ -349,18 +369,15 @@ func (e *Engine) nextIndex() (uint64, bool) {
 			return 0, false
 		}
 		if !e.sampler.Keep(idx) {
-			e.stats.Skipped++
 			e.mSkipped.Inc()
 			continue
 		}
 		addr := e.space.At(idx)
 		if e.space.Blacklisted(addr) {
-			e.stats.Skipped++
 			e.mSkipped.Inc()
 			continue
 		}
 		if e.cfg.Smart != nil && e.cfg.Smart.Decide(addr) == SmartPruned {
-			e.stats.Pruned++
 			e.mPruned.Inc()
 			continue
 		}
@@ -370,7 +387,6 @@ func (e *Engine) nextIndex() (uint64, bool) {
 
 func (e *Engine) probeDone(seq uint64, launchedAt netsim.Time) {
 	e.outstanding--
-	e.stats.Completed++
 	e.mCompleted.Inc()
 	e.mInFlight.Add(-1)
 	e.mProbeDur.Observe(int64(e.net.Now() - launchedAt))
@@ -390,9 +406,9 @@ func (e *Engine) probeDone(seq uint64, launchedAt netsim.Time) {
 
 func (e *Engine) maybeFinish() {
 	if e.exhausted && e.outstanding == 0 && len(e.retryq) == 0 && e.onDone != nil {
-		e.stats.FinishedAt = e.net.Now()
+		e.finishedAt = e.net.Now()
 		fn := e.onDone
 		e.onDone = nil
-		fn(e.stats)
+		fn(e.Stats())
 	}
 }

@@ -14,7 +14,7 @@ VALIDATE_OUT ?= artifacts
 # Per-target budget for fuzz-smoke.
 FUZZ_TIME ?= 3s
 # Packages with native fuzz targets (Fuzz* functions).
-FUZZ_PKGS := ./internal/wire ./internal/output ./internal/httpsim ./internal/tlssim ./internal/prefixtree
+FUZZ_PKGS := ./internal/wire ./internal/output ./internal/httpsim ./internal/tlssim ./internal/prefixtree ./internal/checkpoint
 
 # Coverage floor for the non-blocking report `make cover` prints; the
 # build does not fail below it, the number is for trend-watching.

@@ -88,12 +88,18 @@ type Report struct {
 	SmartHostsFound    float64 `json:"smart_hosts_found,omitempty"`
 	HitlistProbesSaved float64 `json:"hitlist_probes_saved,omitempty"`
 	HitlistHostsFound  float64 `json:"hitlist_hosts_found,omitempty"`
+	// SmartWallRatio is scan_smart_http's ns/op over scan_serial_http's:
+	// the wall time a smart rescan costs relative to the full scan it
+	// replaces. Gated absolutely (<= maxSmartWallRatio), so a rescan
+	// that saves probes must not spend the saving on its target walk.
+	SmartWallRatio float64 `json:"smart_wall_ratio,omitempty"`
 }
 
 // Smart-rescan efficiency gates (absolute, not baseline-relative).
 const (
-	minProbesSaved = 0.30
-	minHostsFound  = 0.95
+	minProbesSaved    = 0.30
+	minHostsFound     = 0.95
+	maxSmartWallRatio = 1.5
 )
 
 // minScaling4 is the absolute floor for 4-shard scaling on a host that
@@ -183,8 +189,8 @@ func main() {
 			gateErr = fmt.Errorf("%v; %v", gateErr, err)
 		}
 	}
-	fmt.Printf("smart rescan:   %.1f%% probes saved, %.1f%% hosts found\n",
-		100*rep.SmartProbesSaved, 100*rep.SmartHostsFound)
+	fmt.Printf("smart rescan:   %.1f%% probes saved, %.1f%% hosts found, %.2fx full-scan wall time\n",
+		100*rep.SmartProbesSaved, 100*rep.SmartHostsFound, rep.SmartWallRatio)
 	fmt.Printf("hitlist rescan: %.1f%% probes saved, %.1f%% hosts found\n",
 		100*rep.HitlistProbesSaved, 100*rep.HitlistHostsFound)
 
@@ -286,22 +292,28 @@ type shardRates struct {
 	rates []float64
 }
 
+// workloadRatio is metric(num) over metric(den) for the named
+// workloads, or 0 when either is absent or reads zero.
+func workloadRatio(ws []Workload, num, den string, metric func(Workload) float64) float64 {
+	var n, d float64
+	for _, w := range ws {
+		switch w.Name {
+		case num:
+			n = metric(w)
+		case den:
+			d = metric(w)
+		}
+	}
+	if n <= 0 || d <= 0 {
+		return 0
+	}
+	return n / d
+}
+
 // scalingEfficiency is the named parallel workload's probes/s over
 // scan_serial_http's, or 0 when either workload is absent.
 func scalingEfficiency(ws []Workload, parallelName string) float64 {
-	var serial, parallel float64
-	for _, w := range ws {
-		switch w.Name {
-		case "scan_serial_http":
-			serial = w.ProbesPerSec
-		case parallelName:
-			parallel = w.ProbesPerSec
-		}
-	}
-	if serial <= 0 || parallel <= 0 {
-		return 0
-	}
-	return parallel / serial
+	return workloadRatio(ws, parallelName, "scan_serial_http", func(w Workload) float64 { return w.ProbesPerSec })
 }
 
 // scalingGate enforces the absolute 4-shard floor on hosts that can
@@ -420,9 +432,10 @@ func (in *smartInputs) hitlistCfg() experiments.ScanConfig {
 // smartEfficiency runs one deterministic smart rescan and one hitlist
 // rescan, fills the report's efficiency fields, and returns an error
 // when the smart rescan misses the absolute gate (>= 30% probes saved
-// at >= 95% hosts found). The hitlist numbers are reported but only
-// gated on hosts found — a hitlist that loses hosts means the space
-// construction broke, while its probe savings are definitional.
+// at >= 95% hosts found, in at most 1.5x the full scan's wall time).
+// The hitlist numbers are reported but only gated on hosts found — a
+// hitlist that loses hosts means the space construction broke, while
+// its probe savings are definitional.
 func smartEfficiency(rep *Report) error {
 	in := smartScanInputs()
 	smart := experiments.RunScan(inet.NewInternet2017(55), in.smartCfg())
@@ -431,6 +444,8 @@ func smartEfficiency(rep *Report) error {
 	rep.SmartHostsFound = float64(len(prefixtree.Hitlist(smart.Records))) / float64(in.fullHosts)
 	rep.HitlistProbesSaved = 1 - float64(hit.Scan.ProbesStarted)/float64(in.fullProbes)
 	rep.HitlistHostsFound = float64(len(prefixtree.Hitlist(hit.Records))) / float64(in.fullHosts)
+	rep.SmartWallRatio = workloadRatio(rep.Workloads, "scan_smart_http", "scan_serial_http",
+		func(w Workload) float64 { return w.NsPerOp })
 	var failures []string
 	if rep.SmartProbesSaved < minProbesSaved {
 		failures = append(failures, fmt.Sprintf("smart rescan saved %.1f%% of probes, want >= %.0f%%",
@@ -439,6 +454,10 @@ func smartEfficiency(rep *Report) error {
 	if rep.SmartHostsFound < minHostsFound {
 		failures = append(failures, fmt.Sprintf("smart rescan found %.1f%% of hosts, want >= %.0f%%",
 			100*rep.SmartHostsFound, 100*minHostsFound))
+	}
+	if rep.SmartWallRatio > maxSmartWallRatio {
+		failures = append(failures, fmt.Sprintf("smart rescan took %.2fx the full scan's wall time, want <= %.1fx",
+			rep.SmartWallRatio, maxSmartWallRatio))
 	}
 	if rep.HitlistHostsFound < minHostsFound {
 		failures = append(failures, fmt.Sprintf("hitlist rescan found %.1f%% of hosts, want >= %.0f%%",

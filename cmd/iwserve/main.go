@@ -151,7 +151,7 @@ func main() {
 	}
 	js := jobs.NewServer(m)
 	js.Heartbeat = *heartbeat
-	srv := &http.Server{Handler: js.Handler()}
+	srv := newHTTPServer(js.Handler())
 	fmt.Printf("iwserve: listening on http://%s (state %s, budget %.0f pps, %d slots, journal %s)\n",
 		ln.Addr(), *state, *budget, *concurrency, journalDir)
 
@@ -179,4 +179,21 @@ func main() {
 	srv.Shutdown(ctx)
 	cancel()
 	fmt.Println("iwserve: state drained, bye")
+}
+
+// Connection bounds. A client must finish sending its request headers
+// within readHeaderTimeout, and a keep-alive connection idle between
+// requests closes after idleTimeout. The idle bound exceeds the longest
+// journal long-poll (jobs.MaxLongPoll), so a client that polls, acts
+// and polls again keeps its connection. Bodies and responses are not
+// time-bounded: SSE watches and artifact downloads stream for as long
+// as they need.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in the daemon's HTTP server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

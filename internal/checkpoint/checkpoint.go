@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,12 +147,7 @@ func (s *State) ValidateConfig(fields []Field) error {
 // leaves the previous checkpoint intact rather than a torn file.
 func Save(path string, s *State) error {
 	s.Version = Version
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return WriteFileAtomic(path, data)
+	return SaveJSON(path, s)
 }
 
 // WriteFileAtomic writes data to path with the same crash discipline
@@ -186,26 +182,59 @@ func WriteFileAtomic(path string, data []byte) error {
 // SaveJSON marshals v (indented, trailing newline) and writes it with
 // WriteFileAtomic.
 func SaveJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := encode(v)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
 	return WriteFileAtomic(path, data)
 }
 
-// Load reads a checkpoint previously written by Save.
+// encode renders v as the files Save and SaveJSON write: indented JSON
+// with a trailing newline.
+func encode(v any) ([]byte, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	return append(data, '\n'), err
+}
+
+// maxSize bounds the file Load accepts. A checkpoint holds one cursor
+// per shard and a metrics snapshot, a few KiB to a few hundred KiB; a
+// file this large is not one, and Load refuses it before decoding.
+const maxSize = 16 << 20
+
+// Load reads a checkpoint previously written by Save. Torn, garbage or
+// oversized files, a foreign version and an iterator phase the scanner
+// never writes are refused with an error.
 func Load(path string) (*State, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, maxSize+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > maxSize {
+		return nil, fmt.Errorf("checkpoint: %s exceeds %d bytes", path, maxSize)
+	}
+	return decode(path, data)
+}
+
+// decode parses and checks the contents of checkpoint file path.
+func decode(path string, data []byte) (*State, error) {
 	var s State
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("checkpoint: parsing %s: %w", path, err)
 	}
 	if s.Version != Version {
 		return nil, fmt.Errorf("checkpoint: %s has version %d, want %d", path, s.Version, Version)
+	}
+	for _, sh := range s.Shards {
+		// A plain walk has one phase, a smart walk two.
+		if p := sh.Cursor.Shard.Phase; p != 0 && p != 1 {
+			return nil, fmt.Errorf("checkpoint: %s: shard %d/%d has iterator phase %d, want 0 or 1",
+				path, sh.Shard, sh.Shards, p)
+		}
 	}
 	return &s, nil
 }

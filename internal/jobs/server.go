@@ -98,12 +98,21 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// maxSpecBytes bounds a submitted spec body. A spec is a few hundred
+// bytes of JSON; larger bodies are refused with 413 before decoding
+// finishes.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("jobs: decoding spec: %w", err))
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("jobs: decoding spec: %w", err))
 		return
 	}
 	view, err := s.m.Submit(spec)

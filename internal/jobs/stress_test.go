@@ -555,3 +555,29 @@ func TestServerAPISurface(t *testing.T) {
 		t.Fatalf("debug dash: HTTP %d, want 200", got)
 	}
 }
+
+// TestSubmitRejectsOversizedSpec: POST /jobs reads at most maxSpecBytes
+// of body; a larger spec gets 413 and creates no job.
+func TestSubmitRejectsOversizedSpec(t *testing.T) {
+	m, err := NewManager(Config{Dir: t.TempDir(), SliceVirtual: 5 * netsim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	srv := httptest.NewServer(NewServer(m).Handler())
+	defer srv.Close()
+
+	body := `{"tenant":"x","name":"` + strings.Repeat("a", maxSpecBytes) + `"}`
+	resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: HTTP %d, want 413", resp.StatusCode)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("oversized spec created %d job(s)", len(jobs))
+	}
+}

@@ -29,8 +29,11 @@ type EventsPage struct {
 const (
 	defaultPageLimit = 100
 	maxPageLimit     = 1000
-	maxLongPoll      = 30 * time.Second
 )
+
+// MaxLongPoll caps the ?wait= of a journal page request: the longest a
+// long-poll holds its request open.
+const MaxLongPoll = 30 * time.Second
 
 func errJournalDisarmed() error {
 	return fmt.Errorf("jobs: event journal not armed (start the daemon with an events dir)")
@@ -93,8 +96,8 @@ func (s *Server) serveEventsPage(w http.ResponseWriter, req *http.Request, keep 
 	if len(page.Events) == 0 && q.Get("wait") != "" {
 		wait, err := time.ParseDuration(q.Get("wait"))
 		if err == nil && wait > 0 {
-			if wait > maxLongPoll {
-				wait = maxLongPoll
+			if wait > MaxLongPoll {
+				wait = MaxLongPoll
 			}
 			// Subscribe past everything already scanned, then wait for
 			// the first matching arrival and re-page.

@@ -117,16 +117,6 @@ type probeState struct {
 	completed bool
 }
 
-// iterator is the engine's permutation source: a plain Shard, or a
-// SmartShard when a plan re-orders the walk. Both expose the same
-// resumable cursor.
-type iterator interface {
-	Next() (uint64, bool)
-	LastPos() uint64
-	State() ShardState
-	SetState(ShardState)
-}
-
 // Engine drives probes over a target space at a fixed rate with bounded
 // concurrency, in virtual time.
 type Engine struct {
@@ -134,8 +124,7 @@ type Engine struct {
 	space    *TargetSpace
 	cfg      Config
 	launch   LaunchFunc
-	iter     iterator
-	sampler  *Sampler
+	iter     *SmartShard // the walk; its plan is nil on plain scans
 	interval netsim.Time
 
 	outstanding int
@@ -169,17 +158,14 @@ type Engine struct {
 // is responsible for running the network.
 func NewEngine(n *netsim.Network, space *TargetSpace, cfg Config, launch LaunchFunc) *Engine {
 	cfg = cfg.withDefaults()
-	var iter iterator = NewShard(space.Size(), cfg.Seed, cfg.Shard%cfg.Shards, cfg.Shards)
-	if cfg.Smart != nil {
-		iter = NewSmartShard(space, cfg.Seed, cfg.Shard%cfg.Shards, cfg.Shards, cfg.Smart)
-	}
+	shard := NewShard(space.Size(), cfg.Seed, cfg.Shard%cfg.Shards, cfg.Shards)
+	shard.sampler = NewSampler(cfg.Seed, cfg.SampleFraction)
 	e := &Engine{
 		net:      n,
 		space:    space,
 		cfg:      cfg,
 		launch:   launch,
-		iter:     iter,
-		sampler:  NewSampler(cfg.Seed, cfg.SampleFraction),
+		iter:     &SmartShard{space: space, plan: cfg.Smart, cur: shard},
 		interval: netsim.Time(float64(netsim.Second) / cfg.Rate),
 		pending:  make(map[uint64]*probeState),
 
@@ -330,14 +316,14 @@ func (e *Engine) launchOne() bool {
 		return false
 	}
 	pre := e.iter.State()
-	idx, ok := e.nextIndex()
+	addr, ok := e.nextTarget()
 	if !ok {
 		e.exhausted = true
 		return false
 	}
 	seq := e.nextSeq
 	e.nextSeq++
-	ps := &probeState{addr: e.space.At(idx), pre: pre, pos: e.iter.LastPos(), attempts: 1}
+	ps := &probeState{addr: addr, pre: pre, pos: e.iter.LastPos(), attempts: 1}
 	e.pending[seq] = ps
 	e.nextSend += e.interval
 	e.outstanding++
@@ -357,31 +343,33 @@ func (e *Engine) fire(seq uint64, ps *probeState) {
 	e.launch(ps.addr, func() { e.probeDone(seq, launchedAt) })
 }
 
-// nextIndex advances the iterator past unsampled, blacklisted and
-// (under a smart plan) pruned entries. The sampler runs first so
-// Pruned counts only sampled addresses, matching TargetEstimate's
-// arithmetic (pruned space is subtracted before the sample fraction is
-// applied).
-func (e *Engine) nextIndex() (uint64, bool) {
+// nextTarget advances the iterator to the next launchable address. The
+// iterator has already dropped unsampled indices and decided each
+// sampled one once; the blacklist then wins over the plan, so Pruned
+// counts only sampled, non-blacklisted addresses, matching
+// TargetEstimate's arithmetic (pruned space is subtracted before the
+// sample fraction is applied). Skips are tallied locally and published
+// once per call.
+func (e *Engine) nextTarget() (wire.Addr, bool) {
+	var skipped, pruned int64
 	for {
-		idx, ok := e.iter.Next()
-		if !ok {
-			return 0, false
-		}
-		if !e.sampler.Keep(idx) {
-			e.mSkipped.Inc()
+		_, addr, d, unsampled, ok := e.iter.advance()
+		skipped += unsampled
+		if ok && e.space.Blacklisted(addr) {
+			skipped++
 			continue
 		}
-		addr := e.space.At(idx)
-		if e.space.Blacklisted(addr) {
-			e.mSkipped.Inc()
+		if ok && d == SmartPruned {
+			pruned++
 			continue
 		}
-		if e.cfg.Smart != nil && e.cfg.Smart.Decide(addr) == SmartPruned {
-			e.mPruned.Inc()
-			continue
+		if skipped > 0 {
+			e.mSkipped.Add(skipped)
 		}
-		return idx, true
+		if pruned > 0 {
+			e.mPruned.Add(pruned)
+		}
+		return addr, ok
 	}
 }
 

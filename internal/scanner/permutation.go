@@ -63,6 +63,11 @@ func (c *Cycle) SetState(s CycleState) {
 	c.done = s.Done
 }
 
+// rewind restarts the cycle at its first element, as if freshly built.
+func (c *Cycle) rewind() {
+	c.cur, c.first, c.done = c.start, true, false
+}
+
 // Next returns the next index of the permutation, or ok=false when all
 // n indices have been produced.
 func (c *Cycle) Next() (idx uint64, ok bool) {
@@ -93,6 +98,10 @@ type Shard struct {
 	shard  uint64
 	shards uint64
 	pos    uint64
+	// sampler, when set (only the engine sets it), drops unsampled
+	// indices inside the walk, so each costs one cycle step and one
+	// hash. A Shard from NewShard has none and emits every index.
+	sampler *Sampler
 }
 
 // NewShard wraps cycle to produce shard shard of shards. All shards of
@@ -106,17 +115,36 @@ func NewShard(n, seed, shard, shards uint64) *Shard {
 
 // Next returns the next index belonging to this shard.
 func (s *Shard) Next() (uint64, bool) {
+	idx, _, ok := s.advance()
+	return idx, ok
+}
+
+// advance returns the next index of this shard the sampler keeps, plus
+// the number of the shard's indices the sampler dropped on the way
+// (also when the walk ends, ok=false).
+func (s *Shard) advance() (idx uint64, unsampled int64, ok bool) {
 	for {
 		idx, ok := s.cycle.Next()
 		if !ok {
-			return 0, false
+			return 0, unsampled, false
 		}
-		keep := s.pos%s.shards == s.shard
+		mine := s.shards == 1 || s.pos%s.shards == s.shard
 		s.pos++
-		if keep {
-			return idx, true
+		if !mine {
+			continue
 		}
+		if s.sampler != nil && !s.sampler.Keep(idx) {
+			unsampled++
+			continue
+		}
+		return idx, unsampled, true
 	}
+}
+
+// rewind restarts the shard's walk from the beginning of the cycle.
+func (s *Shard) rewind() {
+	s.cycle.rewind()
+	s.pos = 0
 }
 
 // LastPos returns the global cycle position (0-based, counted across all

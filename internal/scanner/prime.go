@@ -8,7 +8,13 @@ package scanner
 import "math/bits"
 
 // mulMod returns (a*b) mod m without overflow for 64-bit operands.
+// When all three fit in 32 bits — every cycle step of a target space
+// below 2^32 addresses — the product fits in 64 bits and one native
+// remainder replaces the 128-bit division.
 func mulMod(a, b, m uint64) uint64 {
+	if (a|b|m)>>32 == 0 {
+		return a * b % m
+	}
 	hi, lo := bits.Mul64(a, b)
 	_, rem := bits.Div64(hi%m, lo, m)
 	return rem

@@ -53,52 +53,67 @@ type SmartPlan interface {
 // permutation, so within a phase the order is exactly the dumb scan's
 // order and the union of both phases is exactly the shard's slice.
 // LastPos offsets phase 1 by the cycle length, preserving the total
-// order across shards that the k-way merge keys on.
+// order across shards that the k-way merge keys on. With a nil plan
+// (the engine's plain scans) it is the plain shard walk: one phase,
+// every decision SmartCold.
 type SmartShard struct {
-	n      uint64
-	seed   uint64
-	shard  uint64
-	shards uint64
-	space  *TargetSpace
-	plan   SmartPlan
-	phase  int
-	cur    *Shard
+	space *TargetSpace
+	plan  SmartPlan
+	phase int
+	cur   *Shard
 }
 
 // NewSmartShard builds the two-phase iterator over space for shard
 // shard of shards.
 func NewSmartShard(space *TargetSpace, seed, shard, shards uint64, plan SmartPlan) *SmartShard {
-	return &SmartShard{
-		n: space.Size(), seed: seed, shard: shard, shards: shards,
-		space: space, plan: plan,
-		cur: NewShard(space.Size(), seed, shard, shards),
-	}
+	return &SmartShard{space: space, plan: plan, cur: NewShard(space.Size(), seed, shard, shards)}
 }
 
 // Next returns the next index of the shard's two-phase order.
 func (s *SmartShard) Next() (uint64, bool) {
+	idx, _, _, _, ok := s.advance()
+	return idx, ok
+}
+
+// advance returns the next index of the two-phase order that the
+// shard's sampler keeps, with its address and the plan's decision: the
+// plan and the space are consulted only for sampled indices. unsampled
+// counts the indices the sampler dropped on the way in the last phase
+// only, so each one is counted once over the whole walk.
+func (s *SmartShard) advance() (idx uint64, addr wire.Addr, d SmartDecision, unsampled int64, ok bool) {
 	for {
-		idx, ok := s.cur.Next()
+		idx, n, ok := s.cur.advance()
+		if s.lastPhase() {
+			unsampled += n
+		}
 		if !ok {
-			if s.phase >= 1 {
-				return 0, false
+			if s.lastPhase() {
+				return 0, 0, 0, unsampled, false
 			}
 			s.phase = 1
-			s.cur = NewShard(s.n, s.seed, s.shard, s.shards)
+			s.cur.rewind()
 			continue
 		}
-		hot := s.plan.Decide(s.space.At(idx)) == SmartHot
-		if hot == (s.phase == 0) {
-			return idx, true
+		addr = s.space.At(idx)
+		if s.plan == nil {
+			return idx, addr, SmartCold, unsampled, true
+		}
+		d = s.plan.Decide(addr)
+		if (d == SmartHot) == (s.phase == 0) {
+			return idx, addr, d, unsampled, true
 		}
 	}
 }
+
+// lastPhase reports whether the walk is in its final phase: phase 1,
+// or the only phase of a walk without a plan.
+func (s *SmartShard) lastPhase() bool { return s.plan == nil || s.phase == 1 }
 
 // LastPos returns the global position of the most recently produced
 // index: the underlying cycle position, offset by one full cycle per
 // completed phase. Monotonically increasing per shard and totally
 // ordered across shards sharing (n, seed, plan).
-func (s *SmartShard) LastPos() uint64 { return uint64(s.phase)*s.n + s.cur.LastPos() }
+func (s *SmartShard) LastPos() uint64 { return uint64(s.phase)*s.space.Size() + s.cur.LastPos() }
 
 // State returns the resumable cursor (phase plus cycle cursor).
 func (s *SmartShard) State() ShardState {
